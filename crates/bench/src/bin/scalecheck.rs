@@ -237,8 +237,12 @@ fn sweep(scale: f64, days: u32) {
         // Stage 3: fused scoring + streaming top-k (the prediction path —
         // per-chunk heaps merged at the end, never materializing scores).
         let k = (cands.len() / 100).max(10);
-        let (topk_secs, _preds) =
-            timed(|| osn_metrics::exec::predict_top_k_many_t(&refs, &snap, &cands, k, 0x11A5, t));
+        let (topk_secs, _preds) = timed(|| {
+            let mut cache = osn_metrics::solver::SolverCache::transient();
+            osn_metrics::exec::predict_top_k_many_cached_t(
+                &refs, &snap, &cands, k, 0x11A5, t, &mut cache,
+            )
+        });
 
         println!(
             "threads={t}: enumerate {:.2}s ({:.0} pairs/s), score {:.2}s ({:.0} pairs/s), \

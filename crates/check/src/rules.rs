@@ -107,7 +107,7 @@ pub const RULES: &[RuleSpec] = &[
     },
     RuleSpec {
         name: "refit-in-score-pairs",
-        contract: "a fresh `fit`/`prepare` factorization per `score_pairs` call refits the whole model per batch; reuse the per-snapshot cached fit (prepare_cached / SolverCache) or justify the one-shot path",
+        contract: "a fresh `fit`/`prepare` factorization per `score_pairs` call refits the whole model per batch; let the engine hoist `prepare` once per snapshot, reuse the SolverCache fit, or justify the one-shot path",
         rationale: "Refitting ALS per pair batch turns one factorization per snapshot into hundreds; the SolverCache model slots exist so rescal_fits == 1 across a scoring sweep.",
         fix: "- let model = self.fit(snap);\n+ let model = self.fitted_model(snap, cache, threads)?;  // cached per snapshot",
     },
@@ -574,11 +574,11 @@ fn per_source_power_iteration(
 
 /// A fresh factorization (`fit(..)` / `prepare(..)`) inside the body of
 /// any `score_pairs*` implementation: refitting the whole model per pair
-/// batch is exactly the cost the per-snapshot model cache
-/// (`SolverCache::store_rescal` / `prepare_cached`) exists to remove.
-/// Deliberate one-shot convenience entries suppress with a
-/// justification. Only the exact idents `fit` and `prepare` are gated,
-/// so `prepare_cached`/`fitted_model` (the cache-aware paths) pass.
+/// batch is exactly the cost the engine's once-per-snapshot `prepare`
+/// hoist and the per-snapshot model cache (`SolverCache::store_rescal`)
+/// exist to remove. Deliberate one-shot convenience entries suppress with
+/// a justification. Only the exact idents `fit` and `prepare` are gated,
+/// so `fitted_model` (the cache-aware path) passes.
 fn refit_in_score_pairs(
     info: &FileInfo,
     tokens: &[Token],
@@ -627,8 +627,8 @@ fn refit_in_score_pairs(
                     line: tokens[t].line,
                     message: format!(
                         "`{name}()` inside a score_pairs impl refits the whole model per batch; \
-                         reuse the per-snapshot cached fit (prepare_cached / SolverCache), or \
-                         justify the one-shot path with linklens-allow"
+                         let the engine hoist prepare once per snapshot or reuse the SolverCache \
+                         fit, or justify the one-shot path with linklens-allow"
                     ),
                     suppressed: false,
                     baselined: false,
@@ -1108,7 +1108,7 @@ mod tests {
 
     #[test]
     fn refit_rule_fires_on_fit_and_prepare_inside_score_pairs_bodies() {
-        let src = "impl Metric for Rescal {\n  fn score_pairs(&self, snap: &Snapshot, pairs: &[(u32, u32)]) -> Vec<f64> {\n    self.prepare(snap).score_chunk(snap, pairs)\n  }\n}";
+        let src = "impl Metric for Katz {\n  fn score_pairs(&self, snap: &Snapshot, pairs: &[(u32, u32)]) -> Vec<f64> {\n    self.prepare(snap, &SolverCache::transient()).score_chunk(snap, pairs)\n  }\n}";
         let d = check_file(&lib_info("metrics"), src);
         assert_eq!(active(&d, "refit-in-score-pairs"), 1);
         assert_eq!(d.iter().find(|x| x.rule == "refit-in-score-pairs").map(|x| x.line), Some(3));
@@ -1118,10 +1118,10 @@ mod tests {
 
     #[test]
     fn refit_rule_skips_cache_aware_paths_and_other_fns() {
-        // `prepare_cached` and `fitted_model` are the cache-aware paths the
-        // rule steers toward; `fit`/`prepare` outside score_pairs bodies
-        // (the hoisted call sites) are fine.
-        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  let m = self.fitted_model(snap, cache, threads);\n  let s = self.prepare_cached(snap, cache);\n  vec![]\n}\nfn hoisted(&self, snap: &S) -> Model { self.fit(snap) }\ntrait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}";
+        // `fitted_model` and the cache's model slots are the cache-aware
+        // paths the rule steers toward; `fit`/`prepare` outside score_pairs
+        // bodies (the engine's hoisted call sites) are fine.
+        let src = "fn score_pairs_cached(&self, snap: &S, pairs: &[(u32, u32)], threads: usize, cache: &mut C) -> Vec<f64> {\n  let m = self.fitted_model(snap, cache, threads);\n  let r = cache.rescal_model(self.fingerprint());\n  vec![]\n}\nfn hoisted(&self, snap: &S, cache: &C) -> Model { self.prepare(snap, cache) }\nfn fitted(&self, snap: &S) -> Model { self.fit(snap) }\ntrait Metric {\n  fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64>;\n}";
         assert_eq!(active(&check_file(&lib_info("metrics"), src), "refit-in-score-pairs"), 0);
     }
 
@@ -1133,7 +1133,7 @@ mod tests {
 
     #[test]
     fn refit_rule_suppressed_by_allow() {
-        let src = "fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64> {\n  // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists via prepare_cached\n  self.prepare(snap).score_chunk(snap, pairs)\n}";
+        let src = "fn score_pairs(&self, snap: &S, pairs: &[(u32, u32)]) -> Vec<f64> {\n  // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists prepare once per snapshot\n  self.prepare(snap, &SolverCache::transient()).score_chunk(snap, pairs)\n}";
         let d = check_file(&lib_info("metrics"), src);
         assert_eq!(active(&d, "refit-in-score-pairs"), 0);
         assert_eq!(

@@ -37,11 +37,14 @@ mod tests {
 
     #[test]
     fn paranoid_toggles_and_debug_always_audits() {
-        // Tests build with debug_assertions, so audits are on regardless.
-        assert!(audit_enabled());
+        // Debug builds audit regardless; release builds only in paranoid
+        // mode, so arm it explicitly instead of assuming the profile.
+        assert_eq!(audit_enabled(), cfg!(debug_assertions) || paranoid());
         set_paranoid(true);
         assert!(paranoid());
+        assert!(audit_enabled());
         set_paranoid(false);
         assert!(!paranoid());
+        assert_eq!(audit_enabled(), cfg!(debug_assertions));
     }
 }

@@ -24,12 +24,16 @@
 //!
 //! Metrics whose batch algorithm is itself parallel (the walk metrics'
 //! per-source passes) opt out of chunking via [`ExecMode::WholeBatch`] and
-//! receive the worker budget through [`Metric::score_pairs_t`].
+//! receive the worker budget through [`Metric::score_pairs_cached`].
+//!
+//! Every public entry point is a thin call into one private core, so the
+//! single-metric, multi-metric, cached, targeted and per-pair reference
+//! paths share one scheduler and cannot drift apart.
 
 use crate::candidates::CandidateSet;
-use crate::fused::{self, FusedScratch, LocalKind};
+use crate::fused::{self, FusedScratch};
 use crate::solver::SolverCache;
-use crate::topk::{self, TopKAcc};
+use crate::topk::TopKAcc;
 use crate::traits::{Metric, ScoreContract};
 use osn_graph::par;
 use osn_graph::snapshot::Snapshot;
@@ -133,14 +137,14 @@ pub fn score_pairs_t<M: Metric + ?Sized>(
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> Vec<f64> {
-    let mut cache = SolverCache::transient();
-    score_pairs_cached_t(m, snap, pairs, threads, &mut cache)
+    score_pairs_cached_t(m, snap, pairs, threads, &mut SolverCache::transient())
 }
 
 /// [`score_pairs_t`] with a caller-owned [`SolverCache`]: the walk metrics
 /// route their solves through it (sharing the snapshot's transition view
 /// and, on persistent caches, PPR warm-start vectors), and Katz prepares
-/// reuse its adjacency CSR. Other metrics ignore the cache.
+/// reuse its adjacency CSR. The engine points the cache at `snap` before
+/// any non-fused metric reads it.
 pub fn score_pairs_cached_t<M: Metric + ?Sized>(
     m: &M,
     snap: &Snapshot,
@@ -148,55 +152,7 @@ pub fn score_pairs_cached_t<M: Metric + ?Sized>(
     threads: usize,
     cache: &mut SolverCache,
 ) -> Vec<f64> {
-    if let Some(kind) = m.fused_kind() {
-        return fused_single_scores(m, kind, snap, pairs, threads);
-    }
-    score_pairs_per_pair_cached_t(m, snap, pairs, threads, cache)
-}
-
-/// The pre-fusion scoring path: chunked through the metric's own
-/// [`Metric::score_pairs`], ignoring any [`Metric::fused_kind`]. Kept
-/// public as the equivalence baseline for the fused kernel's property
-/// tests and the `scalecheck` fused-scoring benchmark.
-pub fn score_pairs_per_pair_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<f64> {
-    let mut cache = SolverCache::transient();
-    score_pairs_per_pair_cached_t(m, snap, pairs, threads, &mut cache)
-}
-
-fn score_pairs_per_pair_cached_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<f64> {
-    match m.exec_mode() {
-        ExecMode::WholeBatch => {
-            let scores = m.score_pairs_cached(snap, pairs, threads, cache);
-            audit_scores(m.name(), m.score_contract(), &scores, 0);
-            scores
-        }
-        ExecMode::Chunked => {
-            let scorer = m.prepare_cached(snap, cache);
-            let chunks = source_aligned_chunks(pairs, threads);
-            if threads <= 1 || chunks.len() <= 1 {
-                let scores = scorer.score_chunk(snap, pairs);
-                audit_scores(m.name(), m.score_contract(), &scores, 0);
-                return scores;
-            }
-            let parts = par::run_indexed(chunks.len(), threads, |c| {
-                let scores = scorer.score_chunk(snap, &pairs[chunks[c].clone()]);
-                audit_scores(m.name(), m.score_contract(), &scores, chunks[c].start);
-                scores
-            });
-            parts.concat()
-        }
-    }
+    columns(&[m], snap, pairs, threads, cache, true).swap_remove(0)
 }
 
 /// The serving-side targeted scoring path: scores one metric over a
@@ -205,14 +161,15 @@ fn score_pairs_per_pair_cached_t<M: Metric + ?Sized>(
 /// setup once per published version instead of once per query.
 ///
 /// * Fused metrics score through [`fused::score_columns`] on the caller's
-///   [`FusedCtx`]/[`FusedScratch`] — build the context once per snapshot
-///   (e.g. with [`LocalKind::ALL`]) and reuse it across queries; a single
-///   kind requested out of a wider context is bit-identical to the batch
-///   engine's per-kind context.
-/// * Everything else goes through the cached per-pair path at one worker
-///   (per-source query batches are far below the engine's chunking
-///   threshold), sharing the caller's [`SolverCache`] transition view and
-///   per-source solve vectors across queries at the same version.
+///   [`FusedCtx`](fused::FusedCtx)/[`FusedScratch`] — build the context
+///   once per snapshot (e.g. with [`LocalKind::ALL`](fused::LocalKind::ALL))
+///   and reuse it across queries; a single kind requested out of a wider
+///   context is bit-identical to the batch engine's per-kind context.
+///   This path never touches `cache`.
+/// * Everything else goes through the engine at one worker (per-source
+///   query batches are far below the engine's chunking threshold),
+///   sharing the caller's [`SolverCache`] transition view and per-source
+///   solve vectors across queries at the same version.
 ///
 /// Bit-identical to [`score_pairs_cached_t`] with `threads = 1` on a
 /// fresh cache — the contract the serving parity asserts rely on.
@@ -232,55 +189,20 @@ pub fn score_pairs_targeted<M: Metric + ?Sized>(
         std::ptr::eq(ctx.snapshot(), snap),
         "targeted scoring with a kernel context from a different snapshot"
     );
-    if let Some(kind) = m.fused_kind() {
-        let kinds = [kind];
-        let scores = fused::score_columns(ctx, scratch, pairs, &kinds).pop().unwrap_or_default();
-        audit_scores(m.name(), m.score_contract(), &scores, 0);
-        return scores;
-    }
-    score_pairs_per_pair_cached_t(m, snap, pairs, 1, cache)
+    let Some(kind) = m.fused_kind() else {
+        return columns(&[m], snap, pairs, 1, cache, true).swap_remove(0);
+    };
+    let scores = fused::score_columns(ctx, scratch, pairs, &[kind]).pop().unwrap_or_default();
+    audit_scores(m.name(), m.score_contract(), &scores, 0);
+    scores
 }
 
-/// Scores one fused-kernel metric over source-aligned chunks with
-/// per-worker scratch reuse.
-fn fused_single_scores<M: Metric + ?Sized>(
-    m: &M,
-    kind: LocalKind,
-    snap: &Snapshot,
-    pairs: &[(NodeId, NodeId)],
-    threads: usize,
-) -> Vec<f64> {
-    let kinds = [kind];
-    let ctx = fused::FusedCtx::build(snap, &kinds);
-    let chunks = source_aligned_chunks(pairs, threads);
-    if threads <= 1 || chunks.len() <= 1 {
-        let mut scratch = FusedScratch::new(snap.node_count());
-        let scores =
-            fused::score_columns(&ctx, &mut scratch, pairs, &kinds).pop().unwrap_or_default();
-        audit_scores(m.name(), m.score_contract(), &scores, 0);
-        return scores;
-    }
-    let parts = par::run_indexed_init(
-        chunks.len(),
-        threads,
-        || FusedScratch::new(snap.node_count()),
-        |scratch, c| {
-            let scores = fused::score_columns(&ctx, scratch, &pairs[chunks[c].clone()], &kinds)
-                .pop()
-                .unwrap_or_default();
-            audit_scores(m.name(), m.score_contract(), &scores, chunks[c].start);
-            scores
-        },
-    );
-    parts.concat()
-}
-
-/// Engine-backed top-k prediction with an explicit worker count: fused
-/// metrics score through the source-batched kernel, chunked metrics
-/// stream each chunk's scores into a per-chunk [`TopKAcc`] (global
-/// indices) and merge; whole-batch metrics score once and select serially.
-/// The returned pairs — including tie-break ordering — are identical for
-/// every `threads` value and every path.
+/// Engine-backed top-k prediction with an explicit worker count: each
+/// chunk streams its scores into a per-chunk [`TopKAcc`] (global
+/// indices) and the accumulators merge; whole-batch metrics score once
+/// and select over the full vector. The returned pairs — including
+/// tie-break ordering — are identical for every `threads` value and to
+/// [`crate::topk::top_k_pairs`] over the metric's own scores.
 pub fn predict_top_k_t<M: Metric + ?Sized>(
     m: &M,
     snap: &Snapshot,
@@ -289,35 +211,7 @@ pub fn predict_top_k_t<M: Metric + ?Sized>(
     seed: u64,
     threads: usize,
 ) -> Vec<(NodeId, NodeId)> {
-    if let Some(kind) = m.fused_kind() {
-        let pairs = cands.pairs();
-        let kinds = [kind];
-        let ctx = fused::FusedCtx::build(snap, &kinds);
-        let chunks = source_aligned_chunks(pairs, threads);
-        let accs = par::run_indexed_init(
-            chunks.len(),
-            threads.max(1),
-            || FusedScratch::new(snap.node_count()),
-            |scratch, c| {
-                let range = chunks[c].clone();
-                let slice = &pairs[range.clone()];
-                let scores =
-                    fused::score_columns(&ctx, scratch, slice, &kinds).pop().unwrap_or_default();
-                audit_scores(m.name(), m.score_contract(), &scores, range.start);
-                let mut acc = TopKAcc::new(k, seed);
-                for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                    acc.push(pair, score, range.start + off);
-                }
-                acc
-            },
-        );
-        let mut merged = TopKAcc::new(k, seed);
-        for acc in accs {
-            merged.merge(acc);
-        }
-        return merged.finish();
-    }
-    predict_top_k_per_pair_t(m, snap, cands, k, seed, threads)
+    top_k(&[m], snap, cands, k, seed, threads, &mut SolverCache::transient(), true).swap_remove(0)
 }
 
 /// The pre-fusion top-k path (chunked through [`Metric::score_pairs`],
@@ -331,117 +225,23 @@ pub fn predict_top_k_per_pair_t<M: Metric + ?Sized>(
     seed: u64,
     threads: usize,
 ) -> Vec<(NodeId, NodeId)> {
-    let mut cache = SolverCache::transient();
-    predict_top_k_per_pair_cached_t(m, snap, cands, k, seed, threads, &mut cache)
+    top_k(&[m], snap, cands, k, seed, threads, &mut SolverCache::transient(), false).swap_remove(0)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn predict_top_k_per_pair_cached_t<M: Metric + ?Sized>(
-    m: &M,
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<(NodeId, NodeId)> {
-    let pairs = cands.pairs();
-    match m.exec_mode() {
-        ExecMode::WholeBatch => {
-            let scores = m.score_pairs_cached(snap, pairs, threads, cache);
-            audit_scores(m.name(), m.score_contract(), &scores, 0);
-            topk::top_k_pairs(pairs, &scores, k, seed)
-        }
-        ExecMode::Chunked => {
-            let scorer = m.prepare_cached(snap, cache);
-            let chunks = source_aligned_chunks(pairs, threads);
-            let accs = par::run_indexed(chunks.len(), threads.max(1), |c| {
-                let range = chunks[c].clone();
-                let slice = &pairs[range.clone()];
-                let scores = scorer.score_chunk(snap, slice);
-                audit_scores(m.name(), m.score_contract(), &scores, range.start);
-                let mut acc = TopKAcc::new(k, seed);
-                for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                    acc.push(pair, score, range.start + off);
-                }
-                acc
-            });
-            let mut merged = TopKAcc::new(k, seed);
-            for acc in accs {
-                merged.merge(acc);
-            }
-            merged.finish()
-        }
-    }
-}
-
-/// One (metric, chunk) work item for the shared pool.
-struct Item {
-    metric: usize,
-    chunk: Range<usize>,
-}
-
-/// Splits metric indices into the fused-kernel group (with their kinds,
-/// parallel-indexed) and everything else.
-fn fused_partition(metrics: &[&dyn Metric]) -> (Vec<usize>, Vec<LocalKind>, Vec<usize>) {
-    let mut fused_idx = Vec::new();
-    let mut kinds = Vec::new();
-    let mut rest = Vec::new();
-    for (i, m) in metrics.iter().enumerate() {
-        match m.fused_kind() {
-            Some(k) => {
-                fused_idx.push(i);
-                kinds.push(k);
-            }
-            None => rest.push(i),
-        }
-    }
-    (fused_idx, kinds, rest)
-}
-
-/// Splits metric indices by execution mode.
-fn by_mode(metrics: &[&dyn Metric]) -> (Vec<usize>, Vec<usize>) {
-    let mut chunked = Vec::new();
-    let mut whole = Vec::new();
-    for (i, m) in metrics.iter().enumerate() {
-        match m.exec_mode() {
-            ExecMode::Chunked => chunked.push(i),
-            ExecMode::WholeBatch => whole.push(i),
-        }
-    }
-    (chunked, whole)
-}
-
-/// Top-k predictions for several metrics over one shared candidate set.
+/// Top-k predictions for several metrics over one shared candidate set,
+/// with a caller-owned [`SolverCache`]. The snapshot sweep passes a
+/// persistent cache so consecutive snapshots share warm-start vectors;
+/// every global metric in the group reads one shared transition view per
+/// snapshot, and each distinct source endpoint's solve vector is computed
+/// once per (metric, snapshot) via the solver's source plan.
 ///
 /// Metrics advertising a [`Metric::fused_kind`] are scored together by the
 /// source-batched kernel — one witness walk per source produces every
-/// fused column at once, with one shared kernel context (degree + Bayes
-/// tables built once, not per metric). All remaining chunked metrics are
-/// prepared in parallel, then their (metric × chunk) items are scheduled
-/// over one `threads`-wide pool — a slow metric no longer serializes the
-/// transition the way one-thread-per-metric did. Whole-batch metrics run
-/// afterwards, each using the full worker budget internally. Results are
-/// in input metric order and bit-identical to `threads = 1`.
-pub fn predict_top_k_many_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut cache = SolverCache::transient();
-    predict_top_k_many_cached_t(metrics, snap, cands, k, seed, threads, &mut cache)
-}
-
-/// [`predict_top_k_many_t`] with a caller-owned [`SolverCache`]. The
-/// snapshot sweep passes a persistent cache so consecutive snapshots share
-/// warm-start vectors; the cache also fixes the redundant-recompute issue
-/// the one-cache-per-metric path had — every global metric in the group
-/// now reads one shared transition view per snapshot, and each distinct
-/// source endpoint's solve vector is computed once per (metric, snapshot)
-/// via the solver's source plan instead of once per scoring pass.
+/// fused column at once, with one shared kernel context. All remaining
+/// chunked metrics are prepared in parallel, then their (metric × chunk)
+/// items are scheduled over one `threads`-wide pool; whole-batch metrics
+/// run afterwards, each using the full worker budget internally. Results
+/// are in input metric order and bit-identical to `threads = 1`.
 #[allow(clippy::too_many_arguments)]
 pub fn predict_top_k_many_cached_t(
     metrics: &[&dyn Metric],
@@ -452,141 +252,20 @@ pub fn predict_top_k_many_cached_t(
     threads: usize,
     cache: &mut SolverCache,
 ) -> Vec<Vec<(NodeId, NodeId)>> {
-    let pairs = cands.pairs();
-    let threads = threads.max(1);
-    cache.ensure_snapshot(snap);
-    let (fused_idx, kinds, rest) = fused_partition(metrics);
-    if fused_idx.is_empty() {
-        return predict_top_k_many_per_pair_cached_t(metrics, snap, cands, k, seed, threads, cache);
-    }
-    let mut out: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); metrics.len()];
-
-    let ctx = fused::FusedCtx::build(snap, &kinds);
-    let chunks = source_aligned_chunks(pairs, threads);
-    let chunk_accs = par::run_indexed_init(
-        chunks.len(),
-        threads,
-        || FusedScratch::new(snap.node_count()),
-        |scratch, c| {
-            let range = chunks[c].clone();
-            let slice = &pairs[range.clone()];
-            let cols = fused::score_columns(&ctx, scratch, slice, &kinds);
-            let mut accs: Vec<TopKAcc> = kinds.iter().map(|_| TopKAcc::new(k, seed)).collect();
-            for (ki, col) in cols.iter().enumerate() {
-                let m = metrics[fused_idx[ki]];
-                audit_scores(m.name(), m.score_contract(), col, range.start);
-                for (off, (&pair, &score)) in slice.iter().zip(col).enumerate() {
-                    accs[ki].push(pair, score, range.start + off);
-                }
-            }
-            accs
-        },
-    );
-    let mut merged: Vec<TopKAcc> = kinds.iter().map(|_| TopKAcc::new(k, seed)).collect();
-    for accs in chunk_accs {
-        for (ki, acc) in accs.into_iter().enumerate() {
-            merged[ki].merge(acc);
-        }
-    }
-    for (ki, acc) in merged.into_iter().enumerate() {
-        out[fused_idx[ki]] = acc.finish();
-    }
-
-    if !rest.is_empty() {
-        let rm: Vec<&dyn Metric> = rest.iter().map(|&i| metrics[i]).collect();
-        let preds = predict_top_k_many_per_pair_cached_t(&rm, snap, cands, k, seed, threads, cache);
-        for (j, p) in preds.into_iter().enumerate() {
-            out[rest[j]] = p;
-        }
-    }
-    out
-}
-
-/// The pre-fusion multi-metric top-k path ((metric × chunk) scheduling
-/// through each metric's own scorer, ignoring [`Metric::fused_kind`]) —
-/// the equivalence baseline for the fused kernel's tests and benchmarks.
-pub fn predict_top_k_many_per_pair_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let mut cache = SolverCache::transient();
-    predict_top_k_many_per_pair_cached_t(metrics, snap, cands, k, seed, threads, &mut cache)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn predict_top_k_many_per_pair_cached_t(
-    metrics: &[&dyn Metric],
-    snap: &Snapshot,
-    cands: &CandidateSet,
-    k: usize,
-    seed: u64,
-    threads: usize,
-    cache: &mut SolverCache,
-) -> Vec<Vec<(NodeId, NodeId)>> {
-    let pairs = cands.pairs();
-    let threads = threads.max(1);
-    let (chunked, whole) = by_mode(metrics);
-    let mut out: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); metrics.len()];
-
-    if !chunked.is_empty() {
-        // Shared reborrow: prepares only read the cache (its transition
-        // view), so they can run in parallel across metrics.
-        let cache_ref: &SolverCache = cache;
-        let scorers = par::run_indexed(chunked.len(), threads, |i| {
-            metrics[chunked[i]].prepare_cached(snap, cache_ref)
-        });
-        let chunks = source_aligned_chunks(pairs, threads);
-        let items: Vec<Item> = chunked
-            .iter()
-            .enumerate()
-            .flat_map(|(si, _)| chunks.iter().map(move |c| Item { metric: si, chunk: c.clone() }))
-            .collect();
-        let accs = par::run_indexed(items.len(), threads, |w| {
-            let item = &items[w];
-            let slice = &pairs[item.chunk.clone()];
-            let scores = scorers[item.metric].score_chunk(snap, slice);
-            let m = metrics[chunked[item.metric]];
-            audit_scores(m.name(), m.score_contract(), &scores, item.chunk.start);
-            let mut acc = TopKAcc::new(k, seed);
-            for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
-                acc.push(pair, score, item.chunk.start + off);
-            }
-            acc
-        });
-        let mut merged: Vec<TopKAcc> = chunked.iter().map(|_| TopKAcc::new(k, seed)).collect();
-        for (item, acc) in items.iter().zip(accs) {
-            merged[item.metric].merge(acc);
-        }
-        for (si, acc) in merged.into_iter().enumerate() {
-            out[chunked[si]] = acc.finish();
-        }
-    }
-    for &mi in &whole {
-        let scores = metrics[mi].score_pairs_cached(snap, pairs, threads, cache);
-        audit_scores(metrics[mi].name(), metrics[mi].score_contract(), &scores, 0);
-        out[mi] = topk::top_k_pairs(pairs, &scores, k, seed);
-    }
-    out
+    top_k(metrics, snap, cands, k, seed, threads, cache, true)
 }
 
 /// Score columns (one `Vec<f64>` per metric, aligned with `pairs`) for
 /// several metrics — the classification pipeline's feature-matrix
-/// backend. Fused-kernel metrics are produced together, one witness walk
-/// per source per chunk yielding every fused column at once; the rest is
-/// scheduled as (metric × chunk) items over one pool. Column contents are
-/// bit-identical for every `threads` value.
+/// backend. Scheduled exactly like [`predict_top_k_many_cached_t`];
+/// column contents are bit-identical for every `threads` value.
 pub fn score_matrix_t(
     metrics: &[&dyn Metric],
     snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> Vec<Vec<f64>> {
-    let mut cache = SolverCache::transient();
-    score_matrix_cached_t(metrics, snap, pairs, threads, &mut cache)
+    score_matrix_cached_t(metrics, snap, pairs, threads, &mut SolverCache::transient())
 }
 
 /// [`score_matrix_t`] with a caller-owned [`SolverCache`] (see
@@ -598,48 +277,7 @@ pub fn score_matrix_cached_t(
     threads: usize,
     cache: &mut SolverCache,
 ) -> Vec<Vec<f64>> {
-    let threads = threads.max(1);
-    cache.ensure_snapshot(snap);
-    let (fused_idx, kinds, rest) = fused_partition(metrics);
-    if fused_idx.is_empty() {
-        return score_matrix_per_pair_cached_t(metrics, snap, pairs, threads, cache);
-    }
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); metrics.len()];
-
-    let ctx = fused::FusedCtx::build(snap, &kinds);
-    let chunks = source_aligned_chunks(pairs, threads);
-    let parts = par::run_indexed_init(
-        chunks.len(),
-        threads,
-        || FusedScratch::new(snap.node_count()),
-        |scratch, c| {
-            let cols = fused::score_columns(&ctx, scratch, &pairs[chunks[c].clone()], &kinds);
-            for (ki, col) in cols.iter().enumerate() {
-                let m = metrics[fused_idx[ki]];
-                audit_scores(m.name(), m.score_contract(), col, chunks[c].start);
-            }
-            cols
-        },
-    );
-    let mut columns: Vec<Vec<f64>> =
-        kinds.iter().map(|_| Vec::with_capacity(pairs.len())).collect();
-    for part in parts {
-        for (ki, col) in part.into_iter().enumerate() {
-            columns[ki].extend(col);
-        }
-    }
-    for (ki, col) in columns.into_iter().enumerate() {
-        out[fused_idx[ki]] = col;
-    }
-
-    if !rest.is_empty() {
-        let rm: Vec<&dyn Metric> = rest.iter().map(|&i| metrics[i]).collect();
-        let cols = score_matrix_per_pair_cached_t(&rm, snap, pairs, threads, cache);
-        for (j, col) in cols.into_iter().enumerate() {
-            out[rest[j]] = col;
-        }
-    }
-    out
+    columns(metrics, snap, pairs, threads, cache, true)
 }
 
 /// The pre-fusion feature-matrix path ((metric × chunk) scheduling through
@@ -652,55 +290,153 @@ pub fn score_matrix_per_pair_t(
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> Vec<Vec<f64>> {
-    let mut cache = SolverCache::transient();
-    score_matrix_per_pair_cached_t(metrics, snap, pairs, threads, &mut cache)
+    columns(metrics, snap, pairs, threads, &mut SolverCache::transient(), false)
 }
 
-fn score_matrix_per_pair_cached_t(
-    metrics: &[&dyn Metric],
+/// [`run`] folding each range's scores into one column per metric.
+fn columns<M: Metric + ?Sized>(
+    metrics: &[&M],
     snap: &Snapshot,
     pairs: &[(NodeId, NodeId)],
     threads: usize,
     cache: &mut SolverCache,
+    fuse: bool,
 ) -> Vec<Vec<f64>> {
-    let threads = threads.max(1);
-    let (chunked, whole) = by_mode(metrics);
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); metrics.len()];
+    run(
+        metrics,
+        snap,
+        pairs,
+        threads,
+        cache,
+        fuse,
+        |_, scores, _| scores,
+        |col, next| col.extend(next),
+    )
+}
 
+/// [`run`] streaming each range's scores into a [`TopKAcc`] keyed by
+/// global pair index and merging the accumulators per metric.
+#[allow(clippy::too_many_arguments)]
+fn top_k<M: Metric + ?Sized>(
+    metrics: &[&M],
+    snap: &Snapshot,
+    cands: &CandidateSet,
+    k: usize,
+    seed: u64,
+    threads: usize,
+    cache: &mut SolverCache,
+    fuse: bool,
+) -> Vec<Vec<(NodeId, NodeId)>> {
+    let accumulate = |slice: &[(NodeId, NodeId)], scores: Vec<f64>, base: usize| {
+        let mut acc = TopKAcc::new(k, seed);
+        for (off, (&pair, &score)) in slice.iter().zip(&scores).enumerate() {
+            acc.push(pair, score, base + off);
+        }
+        acc
+    };
+    run(metrics, snap, cands.pairs(), threads, cache, fuse, accumulate, TopKAcc::merge)
+        .into_iter()
+        .map(TopKAcc::finish)
+        .collect()
+}
+
+/// The engine core every entry point above calls. `part(slice, scores,
+/// base)` turns one scored range starting at global pair index `base`
+/// into an output part; `fold` appends parts in pair order onto each
+/// metric's `part(&[], [], 0)`.
+///
+/// Scheduling, in order: with `fuse`, every metric advertising a
+/// [`Metric::fused_kind`] is scored by one shared kernel context over
+/// source-aligned chunks; the remaining [`ExecMode::Chunked`] metrics are
+/// prepared in parallel and their (metric × chunk) items run over one
+/// `threads`-wide pool; [`ExecMode::WholeBatch`] metrics then score the
+/// whole batch one at a time with the full worker budget. The cache is
+/// pointed at `snap` once, before anything reads it, and only when a
+/// non-fused metric is present — fused scoring never needs a transition
+/// view. `fuse = false` is the per-pair reference path. Every scored
+/// range passes the metric's score-contract audit.
+#[allow(clippy::too_many_arguments)]
+fn run<M: Metric + ?Sized, P: Send>(
+    metrics: &[&M],
+    snap: &Snapshot,
+    pairs: &[(NodeId, NodeId)],
+    threads: usize,
+    cache: &mut SolverCache,
+    fuse: bool,
+    part: impl Fn(&[(NodeId, NodeId)], Vec<f64>, usize) -> P + Sync,
+    fold: impl Fn(&mut P, P),
+) -> Vec<P> {
+    let threads = threads.max(1);
+    let (mut fused_idx, mut kinds, mut chunked, mut whole) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for (i, m) in metrics.iter().enumerate() {
+        match (m.fused_kind().filter(|_| fuse), m.exec_mode()) {
+            (Some(kind), _) => {
+                fused_idx.push(i);
+                kinds.push(kind);
+            }
+            (None, ExecMode::Chunked) => chunked.push(i),
+            (None, ExecMode::WholeBatch) => whole.push(i),
+        }
+    }
+    if fused_idx.len() < metrics.len() {
+        cache.ensure_snapshot(snap);
+    }
+    let audit = |i: usize, scores: &[f64], base: usize| {
+        audit_scores(metrics[i].name(), metrics[i].score_contract(), scores, base)
+    };
+    let chunks = source_aligned_chunks(pairs, threads);
+    let mut out: Vec<P> = metrics.iter().map(|_| part(&[], Vec::new(), 0)).collect();
+
+    if !fused_idx.is_empty() {
+        let ctx = fused::FusedCtx::build(snap, &kinds);
+        let per_chunk = par::run_indexed_init(
+            chunks.len(),
+            threads,
+            || FusedScratch::new(snap.node_count()),
+            |scratch, c| {
+                let range = chunks[c].clone();
+                let slice = &pairs[range.clone()];
+                let cols = fused::score_columns(&ctx, scratch, slice, &kinds);
+                fused_idx
+                    .iter()
+                    .zip(cols)
+                    .map(|(&i, col)| {
+                        audit(i, &col, range.start);
+                        part(slice, col, range.start)
+                    })
+                    .collect::<Vec<P>>()
+            },
+        );
+        for parts in per_chunk {
+            for (&i, p) in fused_idx.iter().zip(parts) {
+                fold(&mut out[i], p);
+            }
+        }
+    }
     if !chunked.is_empty() {
         // Shared reborrow: prepares only read the cache (its transition
         // view), so they can run in parallel across metrics.
-        let cache_ref: &SolverCache = cache;
-        let scorers = par::run_indexed(chunked.len(), threads, |i| {
-            metrics[chunked[i]].prepare_cached(snap, cache_ref)
-        });
-        let chunks = source_aligned_chunks(pairs, threads);
-        let items: Vec<Item> = chunked
-            .iter()
-            .enumerate()
-            .flat_map(|(si, _)| chunks.iter().map(move |c| Item { metric: si, chunk: c.clone() }))
-            .collect();
+        let shared: &SolverCache = cache;
+        let scorers =
+            par::run_indexed(chunked.len(), threads, |j| metrics[chunked[j]].prepare(snap, shared));
+        let items: Vec<(usize, Range<usize>)> =
+            (0..chunked.len()).flat_map(|j| chunks.iter().map(move |c| (j, c.clone()))).collect();
         let parts = par::run_indexed(items.len(), threads, |w| {
-            let item = &items[w];
-            let scores = scorers[item.metric].score_chunk(snap, &pairs[item.chunk.clone()]);
-            let m = metrics[chunked[item.metric]];
-            audit_scores(m.name(), m.score_contract(), &scores, item.chunk.start);
-            scores
+            let (j, range) = &items[w];
+            let slice = &pairs[range.clone()];
+            let scores = scorers[*j].score_chunk(snap, slice);
+            audit(chunked[*j], &scores, range.start);
+            part(slice, scores, range.start)
         });
-        let mut columns: Vec<Vec<f64>> =
-            chunked.iter().map(|_| Vec::with_capacity(pairs.len())).collect();
-        for (item, part) in items.iter().zip(parts) {
-            debug_assert_eq!(columns[item.metric].len(), item.chunk.start);
-            columns[item.metric].extend(part);
-        }
-        for (si, col) in columns.into_iter().enumerate() {
-            out[chunked[si]] = col;
+        for ((j, _), p) in items.iter().zip(parts) {
+            fold(&mut out[chunked[*j]], p);
         }
     }
-    for &mi in &whole {
-        let scores = metrics[mi].score_pairs_cached(snap, pairs, threads, cache);
-        audit_scores(metrics[mi].name(), metrics[mi].score_contract(), &scores, 0);
-        out[mi] = scores;
+    for &i in &whole {
+        let scores = metrics[i].score_pairs_cached(snap, pairs, threads, cache);
+        audit(i, &scores, 0);
+        out[i] = part(pairs, scores, 0);
     }
     out
 }
@@ -708,6 +444,8 @@ fn score_matrix_per_pair_cached_t(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::LocalKind;
+    use crate::topk;
     use crate::traits::CandidatePolicy;
 
     /// Two bridged triangles plus a pendant path.
@@ -738,15 +476,35 @@ mod tests {
         assert_eq!(covered, pairs.len());
     }
 
+    /// A 100-node ring with chords: its Global candidate set spans several
+    /// source-aligned chunks, so per-chunk top-k merges are exercised.
+    fn chorded_ring() -> Snapshot {
+        let n = 100u32;
+        let edges: Vec<(NodeId, NodeId)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, (i * 7 + 3) % n)])
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| osn_graph::canonical(a, b))
+            .collect();
+        Snapshot::from_edges(n as usize, &edges)
+    }
+
     #[test]
     fn engine_scores_match_direct_scoring() {
         let snap = fixture();
         let cands = CandidateSet::build(&snap, CandidatePolicy::ThreeHop, 0);
+        let ring = chorded_ring();
+        let global = CandidateSet::build(&ring, CandidatePolicy::Global, 4);
+        assert!(source_aligned_chunks(global.pairs(), 1).len() > 1, "fixture must span chunks");
+        let k = global.len() / 3;
         for m in crate::all_metrics() {
             let direct = m.score_pairs(&snap, cands.pairs());
+            let want =
+                topk::top_k_pairs(global.pairs(), &m.score_pairs(&ring, global.pairs()), k, 0x5EED);
             for threads in [1, 2, 4] {
                 let engine = score_pairs_t(m.as_ref(), &snap, cands.pairs(), threads);
                 assert_eq!(engine, direct, "{} threads={threads}", m.name());
+                let top = predict_top_k_t(m.as_ref(), &ring, &global, k, 0x5EED, threads);
+                assert_eq!(top, want, "{} top-k threads={threads}", m.name());
             }
         }
     }
@@ -757,7 +515,8 @@ mod tests {
         let cands = CandidateSet::build(&snap, CandidatePolicy::Global, 2);
         let metrics = crate::all_metrics();
         let refs: Vec<&dyn Metric> = metrics.iter().map(|m| m.as_ref()).collect();
-        let many = predict_top_k_many_t(&refs, &snap, &cands, 4, 0x11A5, 3);
+        let mut cache = SolverCache::transient();
+        let many = predict_top_k_many_cached_t(&refs, &snap, &cands, 4, 0x11A5, 3, &mut cache);
         for (i, m) in refs.iter().enumerate() {
             let single = predict_top_k_t(*m, &snap, &cands, 4, 0x11A5, 1);
             assert_eq!(many[i], single, "{}", m.name());
@@ -788,6 +547,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-finite score")]
     fn audit_catches_non_finite_scores() {
+        // Release builds audit only in paranoid mode.
+        osn_graph::audit::set_paranoid(true);
         let snap = fixture();
         let bad = Broken { value: f64::NAN, contract: ScoreContract::Finite };
         score_pairs_t(&bad, &snap, &[(0, 4), (1, 5)], 1);
@@ -796,6 +557,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative contract")]
     fn audit_catches_contract_violation() {
+        osn_graph::audit::set_paranoid(true);
         let snap = fixture();
         let bad = Broken { value: -1.0, contract: ScoreContract::FiniteNonNegative };
         score_pairs_t(&bad, &snap, &[(0, 4), (1, 5)], 1);
@@ -806,6 +568,19 @@ mod tests {
         let snap = fixture();
         let ok = Broken { value: -1.0, contract: ScoreContract::Finite };
         assert_eq!(score_pairs_t(&ok, &snap, &[(0, 4)], 1), vec![-1.0]);
+    }
+
+    #[test]
+    fn only_non_fused_batches_build_a_transition_view() {
+        let snap = fixture();
+        let cands = CandidateSet::build(&snap, CandidatePolicy::TwoHop, 0);
+        let (cn, sp) = (crate::local::CommonNeighbors, crate::path::ShortestPath::default());
+        let mut cache = SolverCache::transient();
+        predict_top_k_many_cached_t(&[&cn], &snap, &cands, 2, 1, 2, &mut cache);
+        score_pairs_cached_t(&cn, &snap, cands.pairs(), 2, &mut cache);
+        assert!(cache.transition().is_none(), "all-fused batches must not touch the cache");
+        predict_top_k_many_cached_t(&[&cn, &sp], &snap, &cands, 2, 1, 2, &mut cache);
+        assert!(cache.transition().is_some(), "a non-fused metric points the cache at snap");
     }
 
     #[test]

@@ -86,43 +86,31 @@ impl Metric for KatzLr {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists via prepare_cached
-        self.prepare(snap).score_chunk(snap, pairs)
+        // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists prepare once per snapshot
+        self.prepare(snap, &SolverCache::transient()).score_chunk(snap, pairs)
     }
 
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
+    fn prepare<'a>(&'a self, snap: &Snapshot, cache: &SolverCache) -> Box<dyn PairScorer + 'a> {
         if snap.edge_count() == 0 {
             return Box::new(KatzLrScorer {
                 factors: Vec::new(),
                 vectors: Matrix::zeros(snap.node_count().max(1), 0),
             });
         }
-        let a = adjacency(snap);
-        self.prepare_from(snap, &a)
-    }
-
-    fn prepare_cached<'a>(
-        &'a self,
-        snap: &Snapshot,
-        cache: &SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        if snap.edge_count() == 0 {
-            return self.prepare(snap);
-        }
         // Reuse the snapshot's shared adjacency CSR instead of rebuilding
-        // it from triplets (the cache owner pointed it at `snap`).
+        // it from triplets (the engine pointed the cache at `snap`).
         match cache.transition() {
             Some(tv) if tv.node_count() == snap.node_count() => {
                 self.prepare_from(snap, tv.adjacency())
             }
-            _ => self.prepare(snap),
+            _ => self.prepare_from(snap, &adjacency(snap)),
         }
     }
 }
 
 impl KatzLr {
-    /// Factorization stage shared by the cached and uncached prepare
-    /// paths; `a` is the snapshot's adjacency.
+    /// Factorization stage of [`Metric::prepare`]; `a` is the snapshot's
+    /// adjacency.
     fn prepare_from<'a>(&'a self, snap: &Snapshot, a: &SparseMatrix) -> Box<dyn PairScorer + 'a> {
         // Single-start Lanczos recovers one Ritz vector per eigenvalue
         // cluster, so on small graphs (where exact is cheap and spectra are
@@ -278,40 +266,27 @@ impl Metric for KatzSc {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists via prepare_cached
-        self.prepare(snap).score_chunk(snap, pairs)
+        // linklens-allow(refit-in-score-pairs): one-shot convenience entry; the engine hoists prepare once per snapshot
+        self.prepare(snap, &SolverCache::transient()).score_chunk(snap, pairs)
     }
 
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
+    fn prepare<'a>(&'a self, snap: &Snapshot, cache: &SolverCache) -> Box<dyn PairScorer + 'a> {
         let n = snap.node_count();
         if snap.edge_count() == 0 || n == 0 {
             return Box::new(KatzScScorer { c: Matrix::zeros(n.max(1), 0), m_rows: None });
         }
-        let a = adjacency(snap);
-        self.prepare_from(snap, &a)
-    }
-
-    fn prepare_cached<'a>(
-        &'a self,
-        snap: &Snapshot,
-        cache: &SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        if snap.edge_count() == 0 || snap.node_count() == 0 {
-            return self.prepare(snap);
-        }
         // Reuse the snapshot's shared adjacency CSR instead of rebuilding
-        // it from triplets (the cache owner pointed it at `snap`).
+        // it from triplets (the engine pointed the cache at `snap`).
         match cache.transition() {
-            Some(tv) if tv.node_count() == snap.node_count() => {
-                self.prepare_from(snap, tv.adjacency())
-            }
-            _ => self.prepare(snap),
+            Some(tv) if tv.node_count() == n => self.prepare_from(snap, tv.adjacency()),
+            _ => self.prepare_from(snap, &adjacency(snap)),
         }
     }
 }
 
 impl KatzSc {
-    /// Landmark stage shared by the cached and uncached prepare paths.
+    /// Landmark stage of [`Metric::prepare`]; `a` is the snapshot's
+    /// adjacency.
     fn prepare_from<'a>(&'a self, snap: &Snapshot, a: &SparseMatrix) -> Box<dyn PairScorer + 'a> {
         let lm = self.pick_landmarks(snap);
         let c = self.landmark_columns(a, &lm, par::max_threads());
@@ -326,7 +301,7 @@ impl KatzSc {
     pub fn prepare_per_source<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
         let n = snap.node_count();
         if snap.edge_count() == 0 || n == 0 {
-            return self.prepare(snap);
+            return self.prepare(snap, &SolverCache::transient());
         }
         let a = adjacency(snap);
         let lm = self.pick_landmarks(snap);
@@ -542,7 +517,7 @@ mod tests {
 
     #[test]
     fn transition_view_adjacency_matches_triplet_build() {
-        // prepare_cached swaps the triplet-built adjacency for the cache's
+        // prepare swaps the triplet-built adjacency for the cache's
         // shared TransitionView CSR; they must be structurally identical.
         let s = fixture();
         let a = adjacency(&s);
@@ -557,20 +532,21 @@ mod tests {
     }
 
     #[test]
-    fn prepare_cached_scores_match_uncached() {
+    fn prepare_on_cached_view_matches_uncached() {
         let s = fixture();
         let pairs = [(0u32, 3u32), (0, 4), (1, 5), (2, 4)];
         let mut cache = SolverCache::transient();
         cache.ensure_snapshot(&s);
+        let empty = SolverCache::transient();
         let lr = KatzLr::default();
         assert_eq!(
-            lr.prepare_cached(&s, &cache).score_chunk(&s, &pairs),
-            lr.prepare(&s).score_chunk(&s, &pairs),
+            lr.prepare(&s, &cache).score_chunk(&s, &pairs),
+            lr.prepare(&s, &empty).score_chunk(&s, &pairs),
         );
         let sc = KatzSc::default();
         assert_eq!(
-            sc.prepare_cached(&s, &cache).score_chunk(&s, &pairs),
-            sc.prepare(&s).score_chunk(&s, &pairs),
+            sc.prepare(&s, &cache).score_chunk(&s, &pairs),
+            sc.prepare(&s, &empty).score_chunk(&s, &pairs),
         );
     }
 

@@ -2,6 +2,7 @@
 
 use crate::candidates::CandidateSet;
 use crate::exec::{self, ExecMode, PairScorer, ScoreAll};
+use crate::solver::SolverCache;
 use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 
@@ -82,55 +83,35 @@ pub trait Metric: Sync {
     /// the chunk loop, returning a read-only scorer the engine calls once
     /// per chunk. The default wraps [`score_pairs`](Metric::score_pairs),
     /// which is correct for any metric without cross-pair state.
-    fn prepare<'a>(&'a self, snap: &Snapshot) -> Box<dyn PairScorer + 'a> {
-        let _ = snap;
+    ///
+    /// The engine points `cache` at `snap` before calling this, so
+    /// metrics whose per-snapshot stage runs on the adjacency matrix (the
+    /// Katz family) can reuse its shared
+    /// [`TransitionView`](crate::solver::TransitionView) instead of
+    /// rebuilding CSR structure. Read-only: prepare runs in parallel
+    /// across metrics.
+    fn prepare<'a>(&'a self, snap: &Snapshot, cache: &SolverCache) -> Box<dyn PairScorer + 'a> {
+        let _ = (snap, cache);
         Box::new(ScoreAll(self))
     }
 
-    /// [`score_pairs`](Metric::score_pairs) with an explicit worker
-    /// budget. Only [`ExecMode::WholeBatch`] metrics override this — the
-    /// engine parallelizes Chunked metrics itself.
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let _ = threads;
-        self.score_pairs(snap, pairs)
-    }
-
-    /// [`score_pairs_t`](Metric::score_pairs_t) with access to the
-    /// per-snapshot [`SolverCache`](crate::solver::SolverCache). The
-    /// default ignores the cache; the global walk metrics (LRW, PPR)
-    /// override it to share the snapshot's transition view and, on
-    /// persistent caches, warm-start PPR from the previous snapshot's
-    /// converged vectors (which changes iteration counts, never converged
-    /// output beyond the documented tolerance — see [`crate::solver`]).
+    /// [`score_pairs`](Metric::score_pairs) with a worker budget and the
+    /// per-snapshot [`SolverCache`]. The engine calls it only for
+    /// [`ExecMode::WholeBatch`] metrics; the default ignores both. The
+    /// global walk metrics (LRW, PPR) override it to share the snapshot's
+    /// transition view and, on persistent caches, warm-start PPR from the
+    /// previous snapshot's converged vectors (which changes iteration
+    /// counts, never converged output beyond the documented tolerance —
+    /// see [`crate::solver`]); Rescal reuses the cached per-snapshot fit.
     fn score_pairs_cached(
         &self,
         snap: &Snapshot,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
-        cache: &mut crate::solver::SolverCache,
+        cache: &mut SolverCache,
     ) -> Vec<f64> {
-        let _ = cache;
-        self.score_pairs_t(snap, pairs, threads)
-    }
-
-    /// [`prepare`](Metric::prepare) with read access to the per-snapshot
-    /// [`SolverCache`](crate::solver::SolverCache), so Chunked metrics
-    /// whose per-snapshot stage runs on the adjacency matrix (the Katz
-    /// family) can reuse the cache's shared [`crate::solver::TransitionView`]
-    /// instead of rebuilding CSR structure. Read-only: prepare runs in
-    /// parallel across metrics.
-    fn prepare_cached<'a>(
-        &'a self,
-        snap: &Snapshot,
-        cache: &crate::solver::SolverCache,
-    ) -> Box<dyn PairScorer + 'a> {
-        let _ = cache;
-        self.prepare(snap)
+        let _ = (threads, cache);
+        self.score_pairs(snap, pairs)
     }
 
     /// Predicts the top-`k` pairs from a pre-built candidate set, with

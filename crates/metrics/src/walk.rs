@@ -205,17 +205,7 @@ impl Metric for LocalRandomWalk {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.score_pairs_t(snap, pairs, par::max_threads())
-    }
-
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let mut cache = SolverCache::transient();
-        self.score_pairs_cached(snap, pairs, threads, &mut cache)
+        self.score_pairs_cached(snap, pairs, par::max_threads(), &mut SolverCache::transient())
     }
 
     fn score_pairs_cached(
@@ -328,17 +318,7 @@ impl Metric for PersonalizedPageRank {
     }
 
     fn score_pairs(&self, snap: &Snapshot, pairs: &[(NodeId, NodeId)]) -> Vec<f64> {
-        self.score_pairs_t(snap, pairs, par::max_threads())
-    }
-
-    fn score_pairs_t(
-        &self,
-        snap: &Snapshot,
-        pairs: &[(NodeId, NodeId)],
-        threads: usize,
-    ) -> Vec<f64> {
-        let mut cache = SolverCache::transient();
-        self.score_pairs_cached(snap, pairs, threads, &mut cache)
+        self.score_pairs_cached(snap, pairs, par::max_threads(), &mut SolverCache::transient())
     }
 
     fn score_pairs_cached(

@@ -11,7 +11,7 @@ use osn_graph::snapshot::Snapshot;
 use osn_graph::NodeId;
 use osn_metrics::candidates::CandidateSet;
 use osn_metrics::exec;
-use osn_metrics::katz::KatzSc;
+use osn_metrics::katz::{KatzLr, KatzSc};
 use osn_metrics::path::{LocalPath, ShortestPath};
 use osn_metrics::solver::SolverCache;
 use osn_metrics::traits::{CandidatePolicy, Metric};
@@ -114,7 +114,7 @@ proptest! {
         let lrw = LocalRandomWalk { steps: 3, prune: 0.0 };
         let reference = lrw.score_pairs_per_source_t(&snap, &pairs, 1);
         for threads in THREADS {
-            let batched = lrw.score_pairs_t(&snap, &pairs, threads);
+            let batched = exec::score_pairs_t(&lrw, &snap, &pairs, threads);
             for i in 0..pairs.len() {
                 prop_assert!(
                     (batched[i] - reference[i]).abs() <= 1e-9,
@@ -137,7 +137,7 @@ proptest! {
         let ppr = PersonalizedPageRank::default();
         let reference = ppr.score_pairs_per_source_t(&snap, &pairs, 1);
         for threads in THREADS {
-            let batched = ppr.score_pairs_t(&snap, &pairs, threads);
+            let batched = exec::score_pairs_t(&ppr, &snap, &pairs, threads);
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 let bound = ppr.epsilon * (snap.degree(u) + snap.degree(v)) as f64
                     + 2.0 * ppr.solver_tol() / ppr.alpha;
@@ -236,5 +236,29 @@ proptest! {
             "warm sweep spent more iterations ({}) than cold ({})",
             warm_cache.stats.ppr_iterations, cold_iters
         );
+    }
+}
+
+/// A sweep cache last pointed (through PPR) at snapshot A must not leak
+/// A's adjacency into the Katz prepares on snapshot B — same node count,
+/// B = A plus three edges. The engine re-points the cache at B before any
+/// non-fused metric reads it, so the cached path equals a fresh one.
+#[test]
+fn stale_sweep_cache_is_repointed_before_katz_prepare() {
+    let a_edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)];
+    let mut b_edges = a_edges.to_vec();
+    b_edges.extend([(0, 2), (3, 5), (4, 7)]);
+    b_edges.sort_unstable();
+    let a = Snapshot::from_edges(8, &a_edges);
+    let b = Snapshot::from_edges(8, &b_edges);
+    let pairs = candidate_pairs(&b);
+    let ppr = PersonalizedPageRank::default();
+    let (lr, sc) = (KatzLr::default(), KatzSc::default());
+    for m in [&lr as &dyn Metric, &sc] {
+        let mut cache = SolverCache::sweep();
+        exec::score_pairs_cached_t(&ppr, &a, &candidate_pairs(&a), 1, &mut cache);
+        let cached = exec::score_pairs_cached_t(m, &b, &pairs, 1, &mut cache);
+        let fresh = exec::score_pairs_t(m, &b, &pairs, 1);
+        assert_eq!(cached, fresh, "{} scored snapshot B with A's adjacency", m.name());
     }
 }
